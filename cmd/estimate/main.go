@@ -23,7 +23,7 @@ func main() {
 		noise    = flag.Float64("noise", 1.0, "meter noise level (1 = nominal)")
 		seed     = flag.Int64("seed", 42, "measurement noise seed")
 		solver   = flag.String("solver", "pcg", "gain-matrix solver: pcg|dense|qr")
-		precond  = flag.String("precond", "jacobi", "PCG preconditioner: none|jacobi|bjacobi|ic0|ssor")
+		precond  = flag.String("precond", "auto", "PCG preconditioner: auto|none|jacobi|bjacobi|ic0|ssor (auto = exact sparse Cholesky factor when it stays sparse, else jacobi)")
 		format   = flag.String("format", "auto", "gain-matrix layout: auto|csr|bsr")
 		reuse    = flag.String("gain-reuse", "auto", "drift-gated gain/preconditioner reuse: auto|off|precond|gain")
 		adaptive = flag.Bool("adaptive-gate", false, "scale the reuse drift gate from observed lagged-solve outcomes")
@@ -75,6 +75,8 @@ func main() {
 		log.Fatalf("unknown solver %q", *solver)
 	}
 	switch *precond {
+	case "auto":
+		opts.Precond = gridse.PrecondAuto
 	case "none":
 		opts.Precond = gridse.PrecondNone
 	case "jacobi":

@@ -170,6 +170,7 @@ const (
 	SolverPCG          = wls.PCG
 	SolverDense        = wls.Dense
 	SolverQR           = wls.QR
+	PrecondAuto        = wls.PrecondAuto
 	PrecondJacobi      = wls.PrecondJacobi
 	PrecondNone        = wls.PrecondNone
 	PrecondIC0         = wls.PrecondIC0

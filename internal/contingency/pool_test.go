@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/meas"
+	"repro/internal/powerflow"
 	"repro/internal/wls"
 )
 
@@ -587,4 +588,68 @@ func TestPoolBatchedEquivalence(t *testing.T) {
 		t.Fatalf("warm batched re-screen served no case batched: %+v", statsB2)
 	}
 	t.Logf("re-screen: %d/%d batched (%d fallbacks)", statsB2.BatchedCases, statsB2.Estimated, statsB2.BatchFallbacks)
+}
+
+// TestPoolBatchedAutoMatchesJacobi: the default preconditioner leaves the
+// batched sweep's decisions alone — the lockstep path runs Auto as Jacobi,
+// so a warm re-screen batches exactly the cases the explicit Jacobi pool
+// batches — while the scalar fallbacks and the base anchor solve on the
+// Cholesky factor land within 1e-9 of the Jacobi estimates.
+func TestPoolBatchedAutoMatchesJacobi(t *testing.T) {
+	n := grid.Case118()
+	st := solved(t, n)
+	plan := meas.FullPlan().Build(n)
+	frame1, frame2 := poolFrames(t, n, plan)
+	ratings, err := AutoRatings(n, st, 1.3, 0.3, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	popts := ParallelOptions{Workers: 2, Scheduling: CounterScheduling}
+	ctx := context.Background()
+	auto, err := NewPool(n, PoolOptions{WLS: wls.Options{Tol: 1e-9}, Batch: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jac, err := NewPool(n, PoolOptions{WLS: wls.Options{Tol: 1e-9, Precond: wls.PrecondJacobi}, Batch: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for f, frame := range [][]meas.Measurement{frame1, frame2} {
+		resA, statsA, err := auto.Screen(ctx, frame, ratings, nil, popts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resJ, statsJ, err := jac.Screen(ctx, frame, ratings, nil, popts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if statsA.BatchedCases != statsJ.BatchedCases || statsA.BatchFallbacks != statsJ.BatchFallbacks {
+			t.Fatalf("frame %d: auto batched %d (fallbacks %d), jacobi batched %d (fallbacks %d)", f+1,
+				statsA.BatchedCases, statsA.BatchFallbacks, statsJ.BatchedCases, statsJ.BatchFallbacks)
+		}
+		if f == 1 && statsA.BatchedCases == 0 {
+			t.Fatal("warm re-screen served no case batched")
+		}
+		for i := range resA {
+			a, j := resA[i], resJ[i]
+			if a.Islanding != j.Islanding {
+				t.Fatalf("frame %d case %d differs structurally", f+1, i)
+			}
+			if a.Islanding {
+				continue
+			}
+			if d := maxStateDiff(a.Estimate.State, j.Estimate.State); d > 1e-9 {
+				t.Fatalf("frame %d case %d: auto deviates %g from jacobi", f+1, i, d)
+			}
+		}
+	}
+}
+
+func maxStateDiff(a, b powerflow.State) float64 {
+	var worst float64
+	for i := range a.Vm {
+		worst = math.Max(worst, math.Abs(a.Vm[i]-b.Vm[i]))
+		worst = math.Max(worst, math.Abs(a.Va[i]-b.Va[i]))
+	}
+	return worst
 }

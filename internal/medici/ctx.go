@@ -2,7 +2,9 @@ package medici
 
 import (
 	"context"
+	"errors"
 	"net"
+	"os"
 	"time"
 )
 
@@ -32,12 +34,23 @@ func cancelOnDone(ctx context.Context, conn net.Conn) (stop func()) {
 // ctxIOErr maps an I/O error that may have been induced by cancelOnDone
 // back onto the context's error, so callers see context.Canceled /
 // context.DeadlineExceeded instead of a raw "i/o timeout".
+//
+// A socket armed with the context's own deadline can time out before the
+// context's timer has marked ctx.Err(): the netpoller and the timer race
+// for the same instant. A deadline error that arrives at or after the
+// context's deadline is therefore the context expiring, whether or not
+// ctx.Err() is set yet.
 func ctxIOErr(ctx context.Context, err error) error {
 	if err == nil {
 		return nil
 	}
 	if ctxErr := ctx.Err(); ctxErr != nil {
 		return ctxErr
+	}
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		if deadline, ok := ctx.Deadline(); ok && !time.Now().Before(deadline) {
+			return context.DeadlineExceeded
+		}
 	}
 	return err
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"net"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -98,6 +99,52 @@ func TestEOFProtocol(t *testing.T) {
 	}
 	if _, err := p.ReadMessage(&buf); !errors.Is(err, io.EOF) {
 		t.Fatalf("empty stream err = %v", err)
+	}
+}
+
+// endlessReader is a peer that never closes its stream: it serves bytes
+// forever and counts how many were taken.
+type endlessReader struct{ n int }
+
+func (r *endlessReader) Read(b []byte) (int, error) {
+	for i := range b {
+		b[i] = 'x'
+	}
+	r.n += len(b)
+	return len(b), nil
+}
+
+func TestEOFProtocolRejectsOversizedStream(t *testing.T) {
+	const limit = 1 << 10
+	p := EOFProtocol{max: limit}
+
+	// A stream exactly at the limit is one message.
+	got, err := p.ReadMessage(bytes.NewReader(bytes.Repeat([]byte("a"), limit)))
+	if err != nil || len(got) != limit {
+		t.Fatalf("at-limit stream: %d bytes, err %v", len(got), err)
+	}
+
+	// An oversized stream sent over a connection fails with
+	// ErrMessageTooLarge.
+	client, server := net.Pipe()
+	go func() {
+		client.Write(bytes.Repeat([]byte("b"), 4*limit))
+		client.Close()
+	}()
+	_, err = p.ReadMessage(server)
+	server.Close()
+	if !errors.Is(err, ErrMessageTooLarge) {
+		t.Fatalf("oversized stream err = %v, want ErrMessageTooLarge", err)
+	}
+
+	// A peer that never closes is cut off one byte past the limit rather
+	// than buffered without bound.
+	r := &endlessReader{}
+	if _, err := p.ReadMessage(r); !errors.Is(err, ErrMessageTooLarge) {
+		t.Fatalf("endless stream err = %v, want ErrMessageTooLarge", err)
+	}
+	if r.n > 2*limit {
+		t.Fatalf("endless stream: read %d bytes for a %d-byte limit", r.n, limit)
 	}
 }
 

@@ -28,8 +28,11 @@ type Protocol interface {
 
 // EOFProtocol delimits exactly one message per connection: the writer
 // closes the stream to mark the end (the paper's `new EOFProtocol()` TCP
-// connector property). ReadMessage therefore consumes the whole stream.
-type EOFProtocol struct{}
+// connector property). ReadMessage therefore consumes the whole stream, up
+// to the LengthPrefixProtocol default size limit.
+type EOFProtocol struct {
+	max uint64 // message size limit; zero means the LengthPrefixProtocol default
+}
 
 // NewEOFProtocol returns the close-delimited protocol (Figure 7's
 // tcpProtocol property).
@@ -42,11 +45,18 @@ func (EOFProtocol) WriteMessage(w io.Writer, msg []byte) error {
 	return err
 }
 
-// ReadMessage implements Protocol by reading until EOF.
-func (EOFProtocol) ReadMessage(r io.Reader) ([]byte, error) {
-	b, err := io.ReadAll(r)
+// ReadMessage implements Protocol by reading until EOF. A stream longer
+// than the size limit fails with ErrMessageTooLarge after reading one byte
+// past the limit, so a peer that never closes cannot grow the buffer
+// without bound.
+func (p EOFProtocol) ReadMessage(r io.Reader) ([]byte, error) {
+	limit := LengthPrefixProtocol{MaxMessage: p.max}.limit()
+	b, err := io.ReadAll(io.LimitReader(r, int64(limit)+1))
 	if err != nil {
 		return nil, err
+	}
+	if uint64(len(b)) > limit {
+		return nil, fmt.Errorf("%w: stream exceeds %d bytes", ErrMessageTooLarge, limit)
 	}
 	if len(b) == 0 {
 		return nil, io.EOF

@@ -50,7 +50,7 @@ func (p *IC0Preconditioner) ApplyBatch(z, r []float64, k int) {
 		copy(zi, r[i*k:i*k+k])
 		for t := lo; t < hi-1; t++ {
 			v := p.val[t]
-			zj := z[p.colIdx[t]*k:]
+			zj := z[int(p.colIdx[t])*k:]
 			zj = zj[:k:k]
 			for c := range zi {
 				zi[c] -= v * zj[c]
@@ -71,7 +71,7 @@ func (p *IC0Preconditioner) ApplyBatch(z, r []float64, k int) {
 		}
 		for t := lo; t < hi-1; t++ {
 			v := p.val[t]
-			zj := z[p.colIdx[t]*k:]
+			zj := z[int(p.colIdx[t])*k:]
 			zj = zj[:k:k]
 			for c := range zi {
 				zj[c] -= v * zi[c]

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -127,28 +128,43 @@ func bfsLevels(a *CSR, start int, level []int, queue []int) (int, []int) {
 // sparsity pattern of a: repeatedly eliminate the vertex of smallest degree
 // in the elimination graph, turning its neighborhood into a clique. It
 // reduces fill directly (where RCM reduces bandwidth) at a higher one-time
-// cost — the elimination graph is maintained explicitly, O(n²) in the worst
-// case — which is amortized over every numeric refresh of the plan that
-// uses it. Ties break on the lower vertex index, keeping the ordering
-// deterministic.
+// cost — the elimination graph is maintained explicitly as sorted
+// adjacency lists, O(n²) in the worst case — which is amortized over every
+// numeric refresh of the plan or factor that uses it. Ties break on the
+// lower vertex index, keeping the ordering deterministic.
 func MinDegree(a *CSR) []int {
 	n := mustSquare(a, "MinDegree")
-	adj := make([]map[int]struct{}, n)
-	for i := 0; i < n; i++ {
-		adj[i] = make(map[int]struct{}, a.RowNNZ(i))
-	}
+	// Symmetrized off-diagonal pattern, one sorted duplicate-free list per
+	// vertex.
+	deg := make([]int, n)
 	for i := 0; i < n; i++ {
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			j := a.ColIdx[k]
-			if i != j {
-				adj[i][j] = struct{}{}
-				adj[j][i] = struct{}{} // symmetrize defensively
+			if j := a.ColIdx[k]; j != i {
+				deg[i]++
+				deg[j]++
 			}
 		}
 	}
+	adj := make([][]int, n)
+	for i := range adj {
+		adj[i] = make([]int, 0, deg[i])
+	}
+	for i := 0; i < n; i++ {
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			if j := a.ColIdx[k]; j != i {
+				adj[i] = append(adj[i], j)
+				adj[j] = append(adj[j], i)
+			}
+		}
+	}
+	for i, l := range adj {
+		sort.Ints(l)
+		adj[i] = slices.Compact(l)
+	}
+
 	perm := make([]int, 0, n)
 	eliminated := make([]bool, n)
-	nbrs := make([]int, 0, n)
+	var merged []int
 	for len(perm) < n {
 		v := -1
 		for u := 0; u < n; u++ {
@@ -158,23 +174,45 @@ func MinDegree(a *CSR) []int {
 		}
 		perm = append(perm, v)
 		eliminated[v] = true
-		nbrs = nbrs[:0]
-		for u := range adj[v] {
-			nbrs = append(nbrs, u)
-		}
-		sort.Ints(nbrs) // map iteration order must not leak into the graph
+		// Every neighbor u loses v and gains the rest of v's neighborhood.
+		nbrs := adj[v]
 		for _, u := range nbrs {
-			delete(adj[u], v)
-		}
-		for i, u := range nbrs {
-			for _, w := range nbrs[i+1:] {
-				adj[u][w] = struct{}{}
-				adj[w][u] = struct{}{}
-			}
+			merged = mergeSkip(merged[:0], adj[u], nbrs, v, u)
+			adj[u] = append(adj[u][:0], merged...)
 		}
 		adj[v] = nil
 	}
 	return perm
+}
+
+// mergeSkip appends the sorted union of the sorted lists a and b to dst,
+// leaving out skipA from a and skipB from b. Neither skip value may occur in
+// both lists (a neighbor list never holds its own vertex).
+func mergeSkip(dst, a, b []int, skipA, skipB int) []int {
+	i, j := 0, 0
+	for i < len(a) || j < len(b) {
+		var x int
+		switch {
+		case j == len(b) || (i < len(a) && a[i] < b[j]):
+			x = a[i]
+			i++
+			if x == skipA {
+				continue
+			}
+		case i == len(a) || b[j] < a[i]:
+			x = b[j]
+			j++
+			if x == skipB {
+				continue
+			}
+		default: // a[i] == b[j]
+			x = a[i]
+			i++
+			j++
+		}
+		dst = append(dst, x)
+	}
+	return dst
 }
 
 // InversePerm returns the inverse permutation: inv[perm[i]] = i.

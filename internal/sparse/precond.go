@@ -114,9 +114,17 @@ func (p *JacobiPreconditioner) Name() string { return "jacobi" }
 // A ≈ L·Lᵀ restricted to the sparsity pattern of the lower triangle of A.
 // Apply solves L·y = r then Lᵀ·z = y.
 type IC0Preconditioner struct {
+	lowerFactor
+}
+
+// lowerFactor is a row-oriented lower-triangular factor L with a fixed
+// sparsity pattern and the in-place IKJ kernel that fills it. IC(0) runs the
+// kernel on the lower triangle of A; Cholesky runs it on the complete fill
+// pattern, where the same kernel yields the exact factor.
+type lowerFactor struct {
 	n      int
-	rowPtr []int // CSR of L (strictly sorted columns, diagonal last entry)
-	colIdx []int
+	rowPtr []int   // CSR of L (strictly sorted columns, diagonal last entry)
+	colIdx []int32 // int32 halves the index footprint of a long-lived factor
 	val    []float64
 	diag   []int // position of the diagonal entry in each row of L
 	colPos []int // factorization scratch: column -> entry index in row i
@@ -140,34 +148,43 @@ func NewIC0(a *CSR) (*IC0Preconditioner, error) {
 		return nil, fmt.Errorf("sparse: IC0 requires square matrix, got %dx%d", a.Rows, a.Cols)
 	}
 	n := a.Rows
-	p := &IC0Preconditioner{n: n}
+	p := &IC0Preconditioner{lowerFactor{n: n}}
 	p.rowPtr = make([]int, n+1)
 	// Extract the lower triangle (including diagonal).
 	for i := 0; i < n; i++ {
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
 			if a.ColIdx[k] <= i {
-				p.colIdx = append(p.colIdx, a.ColIdx[k])
+				p.colIdx = append(p.colIdx, int32(a.ColIdx[k]))
 				p.val = append(p.val, a.Val[k])
 			}
 		}
 		p.rowPtr[i+1] = len(p.val)
 	}
-	p.diag = make([]int, n)
-	for i := 0; i < n; i++ {
-		lo, hi := p.rowPtr[i], p.rowPtr[i+1]
-		if hi == lo || p.colIdx[hi-1] != i {
-			return nil, fmt.Errorf("sparse: IC0: missing diagonal at row %d", i)
-		}
-		p.diag[i] = hi - 1
+	if err := p.initDiag("IC0"); err != nil {
+		return nil, err
 	}
-	p.colPos = make([]int, n)
-	for j := range p.colPos {
-		p.colPos[j] = -1
-	}
-	if err := p.factorize(a); err != nil {
+	if err := p.factorize(func() { p.loadLower(a) }); err != nil {
 		return nil, err
 	}
 	return p, nil
+}
+
+// initDiag locates each row's diagonal entry (the last one of the sorted
+// row) and allocates the factorization scratch.
+func (f *lowerFactor) initDiag(who string) error {
+	f.diag = make([]int, f.n)
+	for i := 0; i < f.n; i++ {
+		lo, hi := f.rowPtr[i], f.rowPtr[i+1]
+		if hi == lo || int(f.colIdx[hi-1]) != i {
+			return fmt.Errorf("sparse: %s: missing diagonal at row %d", who, i)
+		}
+		f.diag[i] = hi - 1
+	}
+	f.colPos = make([]int, f.n)
+	for j := range f.colPos {
+		f.colPos[j] = -1
+	}
+	return nil
 }
 
 // Refresh implements Refresher: it re-extracts the lower triangle of a into
@@ -181,7 +198,7 @@ func (p *IC0Preconditioner) Refresh(a *CSR) error {
 	for i := 0; i < p.n; i++ {
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
 			if a.ColIdx[k] <= i {
-				if idx >= len(p.val) || p.colIdx[idx] != a.ColIdx[k] {
+				if idx >= len(p.val) || int(p.colIdx[idx]) != a.ColIdx[k] {
 					return fmt.Errorf("sparse: IC0 refresh with changed sparsity pattern at row %d", i)
 				}
 				p.val[idx] = a.Val[k]
@@ -192,7 +209,7 @@ func (p *IC0Preconditioner) Refresh(a *CSR) error {
 	if idx != len(p.val) {
 		return fmt.Errorf("sparse: IC0 refresh with changed sparsity pattern (%d != %d entries)", idx, len(p.val))
 	}
-	return p.factorize(a)
+	return p.factorize(func() { p.loadLower(a) })
 }
 
 // errIC0Breakdown is the internal signal that a factorization attempt hit a
@@ -222,14 +239,15 @@ func (p *IC0Preconditioner) loadLower(a *CSR) {
 	}
 }
 
-// factorize runs the incomplete factorization, restarting with an
-// escalating Manteuffel diagonal shift on pivot breakdown. p.val must hold
-// the lower triangle of a on entry.
-func (p *IC0Preconditioner) factorize(a *CSR) error {
+// factorize runs the in-place factorization, restarting with an escalating
+// Manteuffel diagonal shift on pivot breakdown. f.val must hold the lower
+// triangle of A (zero on fill entries) on entry; reload restores that state
+// after a failed attempt clobbered it.
+func (f *lowerFactor) factorize(reload func()) error {
 	const maxShiftTries = 6
 	alpha := 0.0
 	for try := 0; ; try++ {
-		err := p.tryFactorize(alpha)
+		err := f.tryFactorize(alpha)
 		if err == nil {
 			return nil
 		}
@@ -241,84 +259,87 @@ func (p *IC0Preconditioner) factorize(a *CSR) error {
 		} else {
 			alpha *= 10
 		}
-		p.loadLower(a) // the failed attempt clobbered the values in place
+		reload()
 	}
 }
 
-// tryFactorize runs one in-place IKJ incomplete factorization pass over
-// p.val (which must hold the lower triangle of A) with the diagonal scaled
-// by 1+alpha, i.e. it factors A + α·diag(A). On a non-positive pivot it
-// resets the colPos scratch and reports errIC0Breakdown when a larger shift
-// could repair it (positive original diagonal) or ErrNotSPD when not.
-func (p *IC0Preconditioner) tryFactorize(alpha float64) error {
-	n := p.n
+// tryFactorize runs one in-place IKJ factorization pass over f.val (which
+// must hold the lower triangle of A) with the diagonal scaled by 1+alpha,
+// i.e. it factors A + α·diag(A). On a non-positive pivot it resets the
+// colPos scratch and reports errIC0Breakdown when a larger shift could
+// repair it (positive original diagonal) or ErrNotSPD when not.
+func (f *lowerFactor) tryFactorize(alpha float64) error {
+	n := f.n
 	// colPos[j] maps column j -> entry index within the current row i.
-	colPos := p.colPos
+	colPos := f.colPos
 	for i := 0; i < n; i++ {
-		lo, hi := p.rowPtr[i], p.rowPtr[i+1]
+		lo, hi := f.rowPtr[i], f.rowPtr[i+1]
 		for k := lo; k < hi; k++ {
-			colPos[p.colIdx[k]] = k
+			colPos[f.colIdx[k]] = k
 		}
 		for k := lo; k < hi-1; k++ { // for each off-diagonal L(i,j), j<i
-			j := p.colIdx[k]
+			j := int(f.colIdx[k])
 			// L(i,j) = (A(i,j) - Σ_{t<j} L(i,t)·L(j,t)) / L(j,j)
-			sum := p.val[k]
-			for t := p.rowPtr[j]; t < p.diag[j]; t++ {
-				cj := p.colIdx[t]
+			sum := f.val[k]
+			for t := f.rowPtr[j]; t < f.diag[j]; t++ {
+				cj := f.colIdx[t]
 				if ip := colPos[cj]; ip >= 0 && ip < k {
-					sum -= p.val[ip] * p.val[t]
+					sum -= f.val[ip] * f.val[t]
 				}
 			}
-			djj := p.val[p.diag[j]]
-			p.val[k] = sum / djj
+			djj := f.val[f.diag[j]]
+			f.val[k] = sum / djj
 		}
 		// Diagonal: L(i,i) = sqrt((1+α)·A(i,i) - Σ_{t<i} L(i,t)²)
-		orig := p.val[hi-1]
+		orig := f.val[hi-1]
 		shifted := (1 + alpha) * orig
 		sum := shifted
 		for k := lo; k < hi-1; k++ {
-			sum -= p.val[k] * p.val[k]
+			sum -= f.val[k] * f.val[k]
 		}
 		// The negated comparison catches NaN as well as non-positive and
 		// cancellation-level pivots.
 		if !(sum > ic0PivotRelFloor*math.Abs(shifted)) {
 			for k := lo; k < hi; k++ {
-				colPos[p.colIdx[k]] = -1 // leave the scratch clean for a retry
+				colPos[f.colIdx[k]] = -1 // leave the scratch clean for a retry
 			}
 			if orig > 0 {
 				return errIC0Breakdown
 			}
 			return ErrNotSPD
 		}
-		p.val[hi-1] = math.Sqrt(sum)
+		f.val[hi-1] = math.Sqrt(sum)
 		for k := lo; k < hi; k++ {
-			colPos[p.colIdx[k]] = -1
+			colPos[f.colIdx[k]] = -1
 		}
 	}
 	return nil
 }
 
-// Apply implements Preconditioner: z = (L·Lᵀ)⁻¹·r.
-func (p *IC0Preconditioner) Apply(z, r []float64) {
+// solve writes (L·Lᵀ)⁻¹·r into z. z may alias r.
+func (f *lowerFactor) solve(z, r []float64) {
 	// Forward solve L·y = r (y stored in z).
-	for i := 0; i < p.n; i++ {
+	for i := 0; i < f.n; i++ {
 		sum := r[i]
-		lo, hi := p.rowPtr[i], p.rowPtr[i+1]
+		lo, hi := f.rowPtr[i], f.rowPtr[i+1]
 		for k := lo; k < hi-1; k++ {
-			sum -= p.val[k] * z[p.colIdx[k]]
+			sum -= f.val[k] * z[f.colIdx[k]]
 		}
-		z[i] = sum / p.val[hi-1]
+		z[i] = sum / f.val[hi-1]
 	}
 	// Backward solve Lᵀ·z = y, traversing rows in reverse and scattering.
-	for i := p.n - 1; i >= 0; i-- {
-		lo, hi := p.rowPtr[i], p.rowPtr[i+1]
-		z[i] /= p.val[hi-1]
+	for i := f.n - 1; i >= 0; i-- {
+		lo, hi := f.rowPtr[i], f.rowPtr[i+1]
+		z[i] /= f.val[hi-1]
 		zi := z[i]
 		for k := lo; k < hi-1; k++ {
-			z[p.colIdx[k]] -= p.val[k] * zi
+			z[f.colIdx[k]] -= f.val[k] * zi
 		}
 	}
 }
+
+// Apply implements Preconditioner: z = (L·Lᵀ)⁻¹·r.
+func (p *IC0Preconditioner) Apply(z, r []float64) { p.solve(z, r) }
 
 // Name implements Preconditioner.
 func (p *IC0Preconditioner) Name() string { return "ic0" }

@@ -137,7 +137,9 @@ func NewBatchEngine(base *Engine) *BatchEngine {
 
 // Supported reports whether the batched path can serve the given solve
 // configuration: the PCG solver on the natural-ordered CSR gain layout with
-// a Jacobi or identity preconditioner. For those configurations the batch
+// a Jacobi or identity preconditioner. PrecondAuto counts as Jacobi here:
+// the batch keeps its per-case Jacobi numerics, while the scalar fallback
+// resolves Auto on each case engine as usual. For those configurations the batch
 // honors the same convergence contract (outer tolerance, residual-decrease
 // guard, CG tolerance) while substituting the anchor-amortized IC0 inner
 // preconditioner; anything else (orderings, blocked layouts, per-case
@@ -146,6 +148,7 @@ func (b *BatchEngine) Supported(opts Options) bool {
 	if opts.Solver != PCG {
 		return false
 	}
+	opts.Precond = batchPrecond(opts)
 	if opts.Precond != PrecondJacobi && opts.Precond != PrecondNone {
 		return false
 	}
@@ -305,7 +308,7 @@ func (b *BatchEngine) prepare(ce *BatchCase, opts Options, scr *batchScratch) bo
 			return false
 		}
 	}
-	if opts.Precond == PrecondJacobi {
+	if batchPrecond(opts) == PrecondJacobi {
 		for _, d := range ce.diag {
 			if !(d > 0) || math.IsInf(d, 1) {
 				return false
@@ -461,7 +464,7 @@ func (b *BatchEngine) lockstep(ctx context.Context, elig []*BatchCase, opts Opti
 		// spectrum far less than the ~4× iteration headroom IC0 buys over
 		// the per-case Jacobi diagonal.
 		cgOpts.Precond = b.anchorPre
-	} else if opts.Precond == PrecondJacobi {
+	} else if batchPrecond(opts) == PrecondJacobi {
 		if scr.pre == nil || scr.pre.K() != k {
 			scr.pre = sparse.NewBatchJacobi(n, k)
 		}
@@ -570,6 +573,15 @@ func (b *BatchEngine) lockstep(ctx context.Context, elig []*BatchCase, opts Opti
 			}
 		}
 	}
+}
+
+// batchPrecond is the preconditioner kind the lockstep path honors:
+// PrecondAuto runs as Jacobi.
+func batchPrecond(opts Options) PrecondKind {
+	if opts.Precond == PrecondAuto {
+		return PrecondJacobi
+	}
+	return opts.Precond
 }
 
 // zeroColumn clears column c of an n·k interleaved block.

@@ -61,6 +61,13 @@ type Engine struct {
 	preBSR  bool // cached preconditioner was built on the blocked layout
 	havePre bool
 
+	// autoKind caches what PrecondAuto resolves to on this engine's gain
+	// pattern (PrecondAuto until the first resolution), and chol holds the
+	// symbolic Cholesky analysis of the natural gain when that is the
+	// factor. Both survive ColdStart: they depend on the pattern only.
+	autoKind PrecondKind
+	chol     *sparse.Cholesky
+
 	// reuse anchors the drift-gated numeric-reuse tier (Options.GainReuse):
 	// the state and weights at the last full gain+preconditioner refresh,
 	// the gain system refreshed there, and the resolved solve configuration
@@ -289,6 +296,7 @@ func (e *Engine) estimateWeighted(ctx context.Context, opts Options, scale []flo
 	if mod.NMeas() < mod.NState() {
 		return nil, fmt.Errorf("%w: %d measurements < %d states", ErrUnobservable, mod.NMeas(), mod.NState())
 	}
+	opts.Precond = e.resolvePrecond(opts)
 
 	x := mod.FlatVec()
 	if opts.X0 != nil {
@@ -379,6 +387,7 @@ func (e *Engine) SolveLinear(opts Options) (*Result, error) {
 	// The linear solve rewrites G and the preconditioner outside the
 	// drift-gate bookkeeping, so any reuse anchor is stale afterwards.
 	e.reuse.valid = false
+	opts.Precond = e.resolvePrecond(opts)
 	mod := e.mod
 	x := mod.FlatVec()
 	copy(e.w, e.baseW)
@@ -439,6 +448,35 @@ func (e *Engine) finish(res *Result, x []float64) {
 	for i := range r {
 		res.ObjectiveJ += e.w[i] * r[i] * r[i]
 	}
+}
+
+// autoFillRatio is PrecondAuto's sparsity bound on the Cholesky factor:
+// the factor is used while nnz(L) ≤ autoFillRatio·nnz(tril G). Minimum-
+// degree ordered power-system gains stay far below it (1.0–1.4× on the
+// IEEE-118 subsystem and centralized gains), so one triangular solve pair
+// costs about one gain mat-vec and the bound only rejects patterns whose
+// factor would cost more memory than the CG iterations it saves.
+const autoFillRatio = 2
+
+// resolvePrecond maps PrecondAuto to the concrete preconditioner for this
+// engine: the exact Cholesky factor when the solve runs PCG on the natural
+// scalar gain and the factor's fill stays within autoFillRatio, Jacobi
+// otherwise. The symbolic analysis runs once, on the first Auto solve, and
+// its outcome is cached with the factor. Explicit kinds pass through.
+func (e *Engine) resolvePrecond(opts Options) PrecondKind {
+	if opts.Precond != PrecondAuto {
+		return opts.Precond
+	}
+	if opts.Solver != PCG || opts.Format == FormatBSR || resolveOrdering(opts) != OrderNatural {
+		return PrecondJacobi
+	}
+	if e.autoKind == PrecondAuto {
+		e.autoKind = PrecondJacobi
+		if f, err := sparse.AnalyzeCholesky(e.gplan.G); err == nil && f.NNZ() <= autoFillRatio*f.LowerNNZ() {
+			e.chol, e.autoKind = f, precondCholesky
+		}
+	}
+	return e.autoKind
 }
 
 // resolveOrdering maps the user-facing Ordering knob to a concrete ordering
@@ -858,6 +896,12 @@ func (e *Engine) preconditioner(g *sparse.CSR, kind PrecondKind) (sparse.Precond
 		pre, err = sparse.NewIC0(g)
 	case PrecondSSOR:
 		pre, err = sparse.NewSSOR(g, 1.0)
+	case precondCholesky:
+		// The symbolic analysis is cached per engine (resolvePrecond); a
+		// rebuild is one numeric refresh.
+		if err = e.chol.Refresh(g); err == nil {
+			pre = e.chol
+		}
 	case PrecondBlockJacobi:
 		return nil, fmt.Errorf("wls: block-jacobi preconditioner requires the BSR gain format")
 	default:

@@ -100,6 +100,9 @@ func legacySolveGain(g *sparse.CSR, rhs []float64, opts Options, cgTol float64) 
 		var pre sparse.Preconditioner
 		var err error
 		switch opts.Precond {
+		case PrecondAuto:
+			// The engine resolves Auto to the exact factor on these gains.
+			pre, err = sparse.NewCholesky(g)
 		case PrecondNone:
 			pre = sparse.IdentityPreconditioner{}
 		case PrecondJacobi:
@@ -153,7 +156,8 @@ func TestEngineMatchesLegacyEstimate(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"pcg-jacobi", Options{}},
+		{"pcg-auto", Options{}},
+		{"pcg-jacobi", Options{Precond: PrecondJacobi}},
 		{"pcg-none", Options{Precond: PrecondNone}},
 		{"pcg-ic0", Options{Precond: PrecondIC0, Ordering: OrderNatural}},
 		{"pcg-ssor", Options{Precond: PrecondSSOR, Ordering: OrderNatural}},
@@ -228,7 +232,7 @@ func TestEngineOrderedMatchesLegacy(t *testing.T) {
 		{"ic0-auto", Options{Precond: PrecondIC0}}, // auto resolves to RCM
 		{"ic0-mindeg", Options{Precond: PrecondIC0, Ordering: OrderMinDegree}},
 		{"ssor-rcm", Options{Precond: PrecondSSOR, Ordering: OrderRCM}},
-		{"jacobi-rcm", Options{Ordering: OrderRCM}},
+		{"jacobi-rcm", Options{Precond: PrecondJacobi, Ordering: OrderRCM}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			legacy := tc.opts

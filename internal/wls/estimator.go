@@ -35,9 +35,20 @@ const (
 // PrecondKind selects the PCG preconditioner.
 type PrecondKind int
 
-// Preconditioner choices for the PCG gain solve.
+// Preconditioner choices for the PCG gain solve. PrecondAuto, the zero
+// value, preconditions with the exact sparse Cholesky factor of the gain
+// matrix (sparse.Cholesky, minimum-degree ordered) whenever that factor
+// stays sparse — at most autoFillRatio× the stored entries of the gain's
+// lower triangle — and with Jacobi otherwise. The decision is made once per
+// engine from the gain pattern alone. Auto also resolves to Jacobi when the
+// solve asks for the blocked layout (FormatBSR) or a fill-reducing ordering
+// (OrderRCM, OrderMinDegree): the factor runs on the natural-order scalar
+// gain and carries its own ordering. With the exact factor CG converges in
+// one iteration on a freshly refreshed gain, and in a few on a lagged
+// factor (the ReusePrecond tier).
 const (
-	PrecondJacobi PrecondKind = iota
+	PrecondAuto PrecondKind = iota
+	PrecondJacobi
 	PrecondNone
 	PrecondIC0
 	PrecondSSOR
@@ -45,10 +56,16 @@ const (
 	// the gain matrix exactly. It requires the blocked gain layout and
 	// therefore implies FormatBSR (an explicit FormatCSR is rejected).
 	PrecondBlockJacobi
+
+	// precondCholesky is what PrecondAuto resolves to when the gain's
+	// Cholesky factor stays sparse. It is not a user-selectable value.
+	precondCholesky
 )
 
 func (p PrecondKind) String() string {
 	switch p {
+	case PrecondAuto:
+		return "auto"
 	case PrecondJacobi:
 		return "jacobi"
 	case PrecondNone:
@@ -59,6 +76,8 @@ func (p PrecondKind) String() string {
 		return "ssor"
 	case PrecondBlockJacobi:
 		return "block-jacobi"
+	case precondCholesky:
+		return "cholesky"
 	default:
 		return fmt.Sprintf("PrecondKind(%d)", int(p))
 	}
@@ -108,8 +127,8 @@ type FormatKind int
 // index traffic per value and unrolled block mat-vecs. FormatAuto picks
 // BSR for the block-friendly preconditioners (Jacobi, block-Jacobi) on
 // systems large enough for the parallel kernels to engage, and scalar CSR
-// otherwise; IC(0) and SSOR always run on scalar CSR. Dense and QR solvers
-// ignore the knob.
+// otherwise; IC(0), SSOR and the Cholesky factor PrecondAuto may pick always
+// run on scalar CSR. Dense and QR solvers ignore the knob.
 const (
 	FormatAuto FormatKind = iota
 	FormatCSR
@@ -198,10 +217,12 @@ type Options struct {
 	MaxIter int
 	// Solver selects the gain-matrix solver (default PCG).
 	Solver SolverKind
-	// Precond selects the PCG preconditioner (default Jacobi).
+	// Precond selects the PCG preconditioner (default PrecondAuto: the
+	// exact sparse Cholesky factor when it stays sparse, Jacobi otherwise).
 	Precond PrecondKind
 	// Ordering selects the fill-reducing gain-matrix ordering for the PCG
-	// solve (default OrderAuto: RCM for IC(0)/SSOR, natural otherwise).
+	// solve (default OrderAuto: RCM for IC(0)/SSOR, natural otherwise; the
+	// Cholesky factor PrecondAuto picks orders itself).
 	// Under FormatBSR the ordering acts on the bus quotient graph — buses
 	// are ordered, then expanded to (θ, V) pairs. Ignored by the Dense and
 	// QR solvers.
